@@ -326,8 +326,10 @@ def _add_serve_parser(sub) -> None:
                    help="batch-dispatch worker threads "
                         "(default: REPRO_WORKERS, else cpu count)")
     p.add_argument("--batch-window", type=float, default=0.002,
-                   help="seconds one tick waits for requests to "
-                        "coalesce into a batch")
+                   help="longest one tick holds for stragglers: it "
+                        "dispatches as soon as every active session "
+                        "has a request queued, else after this many "
+                        "seconds")
     p.add_argument("--max-pending", type=int, default=4,
                    help="queued requests allowed per session")
     p.add_argument("--max-queue", type=int, default=256,
@@ -381,7 +383,10 @@ def _add_serve_bench_parser(sub) -> None:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--workers", type=int, default=None,
                    help="service worker threads")
-    p.add_argument("--batch-window", type=float, default=0.002)
+    p.add_argument("--batch-window", type=float, default=0.002,
+                   help="service batch window: longest one tick holds "
+                        "for stragglers while a session has nothing "
+                        "queued (seconds)")
     p.add_argument("--fidelity-steps", type=int, default=10,
                    help="steps on each side of the snapshot-fidelity "
                         "check")

@@ -1,4 +1,4 @@
-"""Trace event schema (version 6) and its validator.
+"""Trace event schema (version 7) and its validator.
 
 Every JSONL line is one event; ``kind`` discriminates.  The step record
 carries the four signal families the paper's argument is built on:
@@ -31,7 +31,9 @@ floor reachable, and the controller now repairs them instead of holding
 there).  Version 6 adds the design-space-optimizer kind:
 ``serve.design`` (one event per served design query — canonical query
 key, whether the server-side cache answered it, front size, outcome and
-wall cost) plus the ``design`` serve op.  Older streams stay valid:
+wall cost) plus the ``design`` serve op.  Version 7 adds the optional
+``waited`` field on ``serve.batch``: the seconds the scheduler's tick
+held for stragglers before dispatching.  Older streams stay valid:
 ``meta.schema`` may carry any version in
 :data:`SUPPORTED_SCHEMA_VERSIONS`, and earlier kinds are unchanged.
 
@@ -48,14 +50,14 @@ __all__ = ["SCHEMA_VERSION", "SUPPORTED_SCHEMA_VERSIONS", "EVENT_KINDS",
            "SERVE_OPS", "V2_KINDS", "V3_KINDS", "V4_KINDS", "V6_KINDS",
            "validate_event", "validate_events"]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Versions the validator accepts in ``meta.schema`` — a v1 trace (no
 #: ``serve.*`` events), v2 trace (no resilience events), v3 trace (no
 #: shard events), v4 trace (no ``recover`` controller actions) or v5
-#: trace (no ``serve.design`` events) must keep validating after the
-#: v6 bump.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6)
+#: trace (no ``serve.design`` events) or v6 trace (no ``serve.batch``
+#: ``waited`` field) must keep validating after the v7 bump.
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 
 _NUM = (int, float)
 
@@ -124,6 +126,7 @@ EVENT_KINDS: Dict[str, Dict[str, tuple]] = {
         "sessions": (int,),
         "steps": (int,),
         "wall": _NUM,
+        # optional since v7: "waited" (seconds the tick held)
     },
     "serve.evict": {
         "session": (str,),
@@ -252,6 +255,11 @@ def validate_event(event: dict) -> List[str]:
             event["outcome"] not in _RECOVER_OUTCOMES:
         errors.append(f"serve.recover.outcome: {event['outcome']!r} "
                       f"not in {_RECOVER_OUTCOMES}")
+    elif kind == "serve.batch" and "waited" in event and (
+            not isinstance(event["waited"], _NUM)
+            or isinstance(event["waited"], bool) or event["waited"] < 0):
+        errors.append(f"serve.batch.waited: {event['waited']!r} is not "
+                      f"a non-negative number")
     elif kind == "serve.route" and event["reason"] not in _ROUTE_REASONS:
         errors.append(f"serve.route.reason: {event['reason']!r} not in "
                       f"{_ROUTE_REASONS}")

@@ -4,8 +4,9 @@ Reads a JSONL trace back, validates it against the schema, and reduces
 it to the operator-facing numbers: step-time percentiles, per-phase
 precision histograms (which mantissa widths actually executed, and for
 how many steps), believability-violation counts, the census rates the
-paper's Table 4 argument needs, and the controller/recovery activity
-timeline totals.
+paper's Table 4 argument needs, the controller/recovery activity
+timeline totals, and how long the serve scheduler's ticks held for
+stragglers (the ``serve.batch`` ``waited`` field).
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def summarize(events: List[dict], skipped_lines: int = 0) -> dict:
         (e.get("rung"), e.get("outcome")) for e in events
         if e.get("kind") == "recovery")
     sweep_jobs = [e for e in events if e.get("kind") == "sweep_job"]
+    waits = sorted(float(e["waited"]) for e in events
+                   if e.get("kind") == "serve.batch"
+                   and isinstance(e.get("waited"), (int, float)))
 
     return {
         "meta": meta,
@@ -100,6 +104,11 @@ def summarize(events: List[dict], skipped_lines: int = 0) -> dict:
         "sweep_jobs": len(sweep_jobs),
         "sweep_wall": round(sum(float(e.get("wall", 0.0))
                                 for e in sweep_jobs), 6),
+        "tick_wait_seconds": {
+            "batches": len(waits),
+            "p50": round(_percentile(waits, 0.50), 6),
+            "p95": round(_percentile(waits, 0.95), 6),
+        },
     }
 
 
@@ -169,4 +178,9 @@ def render(summary: dict) -> str:
     if summary["sweep_jobs"]:
         lines.append(f"  sweep: {summary['sweep_jobs']} job(s), "
                      f"{summary['sweep_wall']:.3f} s busy")
+    waits = summary["tick_wait_seconds"]
+    if waits["batches"]:
+        lines.append(f"  serve tick wait: p50 {waits['p50'] * 1e3:.2f} ms,"
+                     f" p95 {waits['p95'] * 1e3:.2f} ms over "
+                     f"{waits['batches']} batch(es)")
     return "\n".join(lines)

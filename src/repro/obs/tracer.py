@@ -263,18 +263,21 @@ class Tracer:
             self.registry.counter("serve.rejections").inc()
 
     def serve_batch(self, batch: int, sessions: int, steps: int,
-                    wall: float) -> None:
-        """One fixed-tick batch dispatched by the scheduler."""
+                    wall: float, waited: float) -> None:
+        """One batch dispatched by the scheduler; ``waited`` is the
+        seconds its tick held for stragglers (schema v7)."""
         self.emit({
             "kind": "serve.batch",
             "batch": batch,
             "sessions": sessions,
             "steps": steps,
             "wall": round(wall, 6),
+            "waited": round(waited, 6),
         })
         self.registry.counter("serve.batches").inc()
         self.registry.counter("serve.steps").inc(steps)
         self.registry.histogram("serve.batch.seconds").observe(wall)
+        self.registry.histogram("serve.batch.wait.seconds").observe(waited)
 
     def serve_evict(self, session: str, reason: str, step: int) -> None:
         """A session removed by admission control (not a clean close)."""

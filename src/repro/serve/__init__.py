@@ -5,7 +5,7 @@ control loop; this package runs many such loops concurrently as a
 long-lived service.  Each client session owns a
 :class:`~repro.physics.World` with its own precision control register
 (and optionally its own :class:`~repro.tuning.PrecisionController`);
-concurrent step requests coalesce into fixed-tick batches dispatched
+concurrent step requests coalesce into per-tick batches dispatched
 across a worker pool; admission control bounds every queue and evicts
 sessions that blow their step budget; session snapshots are
 :func:`~repro.robustness.serialize_checkpoint` bytes, so a restored
@@ -18,8 +18,9 @@ Layers:
   lifecycle (create / step / snapshot / restore / close);
 * :mod:`~repro.serve.admission` — bounded queues, backpressure,
   step budgets;
-* :mod:`~repro.serve.scheduler` — the fixed-tick ``BatchScheduler``
-  over a thread pool;
+* :mod:`~repro.serve.scheduler` — the tick-batched ``BatchScheduler``
+  over a thread pool (a tick holds for stragglers only while one could
+  still join);
 * :mod:`~repro.serve.resilience` — per-session snapshot journals,
   digest-verified restart recovery, and the degraded/lost outcomes of
   the server-side recovery ladder;

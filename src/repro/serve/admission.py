@@ -29,6 +29,9 @@ from .protocol import ServiceError
 
 __all__ = ["AdmissionPolicy", "AdmissionController"]
 
+#: weight of the newest tick in the measured tick time (an EWMA)
+TICK_EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -38,8 +41,8 @@ class AdmissionPolicy:
     #: default per-step-request wall budget (seconds); a session's
     #: ``step_budget`` config overrides it.
     step_budget: float = 30.0
-    #: expected scheduler tick period (seconds) — only used to derive
-    #: the ``retry_after_ms`` hint on ``busy`` rejections.
+    #: floor (seconds) of the measured scheduler tick time — only used
+    #: to derive the ``retry_after_ms`` hint on ``busy`` rejections.
     tick_period: float = 0.002
 
 
@@ -54,6 +57,7 @@ class AdmissionController:
         self.admitted_total = 0
         self.rejected_total = 0
         self._registry = registry
+        self._tick_seconds: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
@@ -69,17 +73,26 @@ class AdmissionController:
             return session.config.step_budget
         return self.policy.step_budget
 
-    def retry_after_ms(self) -> int:
+    def observe_tick(self, seconds: float) -> None:
+        """Fold one scheduler tick's wall time (hold + dispatch) into
+        the measured tick time."""
+        if self._tick_seconds is None:
+            self._tick_seconds = seconds
+        else:
+            self._tick_seconds += TICK_EWMA_ALPHA * (seconds
+                                                     - self._tick_seconds)
+
+    def retry_after_ms(self, backlog: int) -> int:
         """How long a rejected client should wait before retrying.
 
-        One scheduler tick drains at most one request per session, so
-        the backlog clears in roughly ``queue_depth`` ticks; the hint
-        scales with the depth that caused the rejection, floored at one
-        tick.  It is advice, not a reservation — the client's retry
-        policy still owns jitter and bounds.
+        One scheduler tick drains at most one request per *session*, so
+        a session's ``backlog`` of queued requests clears in that many
+        ticks, each lasting about the measured tick time (floored at
+        ``policy.tick_period``).  It is advice, not a reservation — the
+        client's retry policy still owns jitter and bounds.
         """
-        ticks = max(1, self._depth)
-        return max(1, int(ticks * self.policy.tick_period * 1000))
+        tick = max(self._tick_seconds or 0.0, self.policy.tick_period)
+        return max(1, int(max(1, backlog) * tick * 1000))
 
     # ------------------------------------------------------------------
     def admit(self, session_id: str) -> None:
@@ -88,24 +101,26 @@ class AdmissionController:
         The caller must pair every successful ``admit`` with exactly one
         :meth:`release` (the scheduler does this when the request
         resolves, times out, or fails).  ``busy`` rejections carry a
-        ``retry_after_ms`` hint derived from queue depth and tick
-        period.
+        ``retry_after_ms`` hint: the rejecting session's backlog (on
+        ``queue_full``, the largest per-session backlog) times the
+        measured tick time.
         """
-        hint = {"retry_after_ms": self.retry_after_ms()}
         if self._depth >= self.policy.max_queue_depth:
             self._reject("queue_full")
+            backlog = max(self._pending.values(), default=0)
             raise ServiceError(
                 "busy", f"service queue full "
                         f"({self.policy.max_queue_depth} requests)",
-                extra=hint)
-        if self._pending.get(session_id, 0) >= \
-                self.policy.max_pending_per_session:
+                extra={"retry_after_ms": self.retry_after_ms(backlog)})
+        pending = self._pending.get(session_id, 0)
+        if pending >= self.policy.max_pending_per_session:
             self._reject("session_backlog")
             raise ServiceError(
                 "busy", f"session {session_id} already has "
                         f"{self.policy.max_pending_per_session} requests "
-                        f"queued", extra=hint)
-        self._pending[session_id] = self._pending.get(session_id, 0) + 1
+                        f"queued",
+                extra={"retry_after_ms": self.retry_after_ms(pending)})
+        self._pending[session_id] = pending + 1
         self._depth += 1
         self.admitted_total += 1
         if self._registry is not None:

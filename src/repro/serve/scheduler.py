@@ -1,17 +1,31 @@
-"""Fixed-tick batch dispatch of session work over a worker pool.
+"""Tick-batched dispatch of session work over a worker pool.
 
 Concurrent clients produce a stream of step/snapshot/restore requests.
 Dispatching each one the moment it arrives would interleave worlds
 arbitrarily and thrash the pool; instead the scheduler runs a **tick
-loop**: it sleeps until work exists, waits one ``batch_window`` for
-stragglers to coalesce, then dispatches one batch — at most one request
-per session, fanned across a thread pool sized by the same
+loop**: it sleeps until work exists, holds the tick open for at most
+one ``batch_window`` while a straggler could still join (some active
+session has nothing queued yet), then dispatches one batch — at most
+one request per session, fanned across a thread pool sized by the same
 ``workers``/``REPRO_WORKERS`` resolution the sweep engine uses
 (:func:`repro.perf.sweep.resolve_workers`).  The batch is a barrier:
 the next tick starts when every member resolved, which keeps
 per-session request order trivially correct (a session's second queued
 request can only run in a later tick) and makes the ``serve.batch``
 trace event a meaningful unit of service time.
+
+The hold ends the moment every active session has a request queued, so
+a lone client, or a set of clients that all sent their step, dispatches
+without waiting; ``batch_window`` bounds how long one idle session can
+delay the others.  The hold re-checks on every arrival rather than
+sleeping blind, and the seconds it held are reported as the
+``serve.batch`` event's ``waited`` field.
+
+A tick that fails outside the per-request error handling (an observer
+sink raising, a journal store already shut down) is contained: it is
+recorded as an incident and a ``serve.internal_errors`` count, any of
+its requests still open fail as ``internal``, and the loop keeps
+ticking.
 
 Threads, not processes: worlds are live object graphs that do not cross
 a pickle boundary, and the step loop spends its time in numpy kernels
@@ -86,10 +100,17 @@ class WorkItem:
     budget: float
     future: "asyncio.Future" = field(repr=False, default=None)
     enqueued_at: float = 0.0
+    #: admission slot already given back (release happens exactly once)
+    released: bool = False
 
 
 class BatchScheduler:
-    """Coalesces queued work into per-tick batches."""
+    """Coalesces queued work into per-tick batches.
+
+    ``batch_window`` is the longest a tick holds for stragglers: the
+    tick dispatches as soon as every active session has a request
+    queued, and otherwise after at most that many seconds.
+    """
 
     def __init__(self, manager, admission, workers: Optional[int] = None,
                  batch_window: float = 0.002, observer=None,
@@ -168,7 +189,7 @@ class BatchScheduler:
                 # retry against the restarted service.
                 item.future.set_exception(
                     ServiceError("draining", "service stopping"))
-            self.admission.release(item.session.id)
+            self._release(item)
         self._queue.clear()
         self._executor.shutdown(wait=False)
 
@@ -197,16 +218,68 @@ class BatchScheduler:
             self._wakeup.clear()
             if not self._queue:
                 continue
-            # Let one window of stragglers coalesce into this tick.
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)
-            batch = self._take_batch()
-            if batch:
-                await self._dispatch(batch)
+            batch: List[WorkItem] = []
+            try:
+                waited = await self._hold_for_stragglers()
+                batch = self._take_batch()
+                if batch:
+                    await self._dispatch(batch, waited)
+            except Exception as exc:  # noqa: BLE001 - keep ticking
+                self._tick_failed(batch, exc)
             if self._queue:
                 # Leftovers (second requests for batched sessions, or
                 # arrivals during dispatch) seed the next tick.
                 self._wakeup.set()
+
+    def _straggler_possible(self) -> bool:
+        """Whether an active session has nothing queued — a request
+        from it could still join the tick being formed."""
+        queued = {item.session.id for item in self._queue}
+        return any(session.state == "active" and session.id not in queued
+                   for session in self.manager.sessions())
+
+    async def _hold_for_stragglers(self) -> float:
+        """Hold the tick open until no straggler can join or one
+        ``batch_window`` has passed; return the seconds held.
+
+        Every arrival sets ``_wakeup``, so the condition is re-checked
+        per arrival instead of after a blind sleep.
+        """
+        start = time.perf_counter()
+        deadline = start + self.batch_window
+        while self._straggler_possible():
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                break
+            self._wakeup.clear()
+            try:
+                await asyncio.wait_for(self._wakeup.wait(), remaining)
+            except asyncio.TimeoutError:
+                break
+        return time.perf_counter() - start
+
+    def _tick_failed(self, batch: List[WorkItem], exc: Exception) -> None:
+        """Contain a tick that raised outside per-request handling.
+
+        The batch barrier has held (every dispatched member ran to
+        completion), so nothing will answer a request still open here:
+        fail it as ``internal`` rather than leave its client to time
+        out.
+        """
+        detail = f"scheduler tick failed: {type(exc).__name__}: {exc}"
+        if self.incidents is not None:
+            self.incidents.detection(0, "serve", detail)
+        if self.registry is not None:
+            self.registry.counter("serve.internal_errors").inc()
+        for item in batch:
+            if not item.future.done():
+                item.future.set_exception(ServiceError("internal", detail))
+            self._release(item)
+
+    def _release(self, item: WorkItem) -> None:
+        if not item.released:
+            item.released = True
+            self.admission.release(item.session.id)
 
     def _take_batch(self) -> List[WorkItem]:
         """At most one queued item per session, preserving FIFO order."""
@@ -249,30 +322,41 @@ class BatchScheduler:
                 singles.extend(members)
         return fleets, singles
 
-    async def _dispatch(self, batch: List[WorkItem]) -> None:
+    async def _dispatch(self, batch: List[WorkItem],
+                        waited: float) -> None:
         start = time.perf_counter()
         self._in_flight = len(batch)
         self._idle.clear()
         try:
             fleets, singles = self._plan_fleets(batch)
-            await asyncio.gather(
+            # return_exceptions: the barrier must hold even when one
+            # member fails, or a session's next request could start
+            # while its previous step is still on a worker thread.
+            outcomes = await asyncio.gather(
                 *(self._run_item(item) for item in singles),
-                *(self._run_fleet(group) for group in fleets))
+                *(self._run_fleet(group) for group in fleets),
+                return_exceptions=True)
         finally:
             self._in_flight = 0
             self._idle.set()
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
         wall = time.perf_counter() - start
         self.batches_dispatched += 1
         steps = sum(item.steps for item in batch)
         self.steps_dispatched += steps
+        self.admission.observe_tick(waited + wall)
         if self.observer is not None:
             self.observer.serve_batch(
                 batch=self.batches_dispatched, sessions=len(batch),
-                steps=steps, wall=wall)
+                steps=steps, wall=wall, waited=waited)
         elif self.registry is not None:
             self.registry.counter("serve.batches").inc()
             self.registry.counter("serve.steps").inc(steps)
             self.registry.histogram("serve.batch.seconds").observe(wall)
+            self.registry.histogram(
+                "serve.batch.wait.seconds").observe(waited)
         self._after_batch(batch)
 
     def _after_batch(self, batch: List[WorkItem]) -> None:
@@ -357,7 +441,7 @@ class BatchScheduler:
                         "internal", f"{detail}; session "
                                     f"{item.session.id} evicted"))
         finally:
-            self.admission.release(item.session.id)
+            self._release(item)
 
     async def _run_fleet(self, group: List[WorkItem]) -> None:
         """Step a compatible session group as one vectorized batch.
@@ -418,7 +502,7 @@ class BatchScheduler:
                                         f"{item.session.id} evicted"))
         finally:
             for item in group:
-                self.admission.release(item.session.id)
+                self._release(item)
 
     def _respawn_or_evict(self, item: WorkItem, reason: str) -> str:
         """Recover a failed/stuck session from its journal, or evict.

@@ -3,8 +3,8 @@
 :class:`SimulationService` wires the pieces together — a
 :class:`~repro.serve.session.SessionManager` (the session table), an
 :class:`~repro.serve.admission.AdmissionController` (bounded queues),
-a :class:`~repro.serve.scheduler.BatchScheduler` (fixed-tick dispatch
-over a worker pool), and an optional
+a :class:`~repro.serve.scheduler.BatchScheduler` (tick-batched
+dispatch over a worker pool), and an optional
 :class:`~repro.serve.resilience.JournalStore` (crash durability) —
 and speaks the :mod:`~repro.serve.protocol` over TCP or a UNIX socket.
 Every request is counted through :mod:`repro.obs.metrics` and, when a

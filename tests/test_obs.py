@@ -165,13 +165,13 @@ class TestSchema:
 
 
 class TestSchemaV2BackCompat:
-    """Schema bumps (v1 -> ... -> v5) must not invalidate old streams."""
+    """Schema bumps (v1 -> ... -> v7) must not invalidate old streams."""
 
-    def test_current_version_is_6_and_older_still_supported(self):
+    def test_current_version_is_7_and_older_still_supported(self):
         from repro.obs import SCHEMA_VERSION, SUPPORTED_SCHEMA_VERSIONS
 
-        assert SCHEMA_VERSION == 6
-        assert set(SUPPORTED_SCHEMA_VERSIONS) == {1, 2, 3, 4, 5, 6}
+        assert SCHEMA_VERSION == 7
+        assert set(SUPPORTED_SCHEMA_VERSIONS) == {1, 2, 3, 4, 5, 6, 7}
 
     @staticmethod
     def _meta(schema):
@@ -185,6 +185,7 @@ class TestSchemaV2BackCompat:
         assert validate_event(self._meta(3)) == []
         assert validate_event(self._meta(4)) == []
         assert validate_event(self._meta(5)) == []
+        assert validate_event(self._meta(6)) == []
         assert validate_event(self._meta(99))
 
     def test_recover_action_is_valid_in_v5(self):
@@ -256,6 +257,35 @@ class TestSchemaV2BackCompat:
                                "reason": "budget_exceeded",
                                "step": 40}) == []
         assert validate_event({"kind": "serve.evict", "session": "s1"})
+
+    def test_v6_serve_stream_without_waited_still_validates(self):
+        """A v6 service stream has ``serve.batch`` events without the v7
+        ``waited`` field; it validates and summarizes with no tick-wait
+        line, while a v7 stream reports the hold percentiles."""
+        batch = {"kind": "serve.batch", "batch": 1, "sessions": 2,
+                 "steps": 2, "wall": 0.004}
+        v6 = [self._meta(6), batch, dict(batch, batch=2)]
+        assert validate_events(v6) == (0, [])
+        summary = summarize(v6)
+        assert summary["tick_wait_seconds"]["batches"] == 0
+        assert "tick wait" not in render_summary(summary)
+
+        v7 = [self._meta(7), dict(batch, waited=0.0),
+              dict(batch, batch=2, waited=0.002)]
+        assert validate_events(v7) == (0, [])
+        summary = summarize(v7)
+        assert summary["tick_wait_seconds"] == {
+            "batches": 2, "p50": 0.001, "p95": 0.0019}
+        assert "tick wait: p50 1.00 ms, p95 1.90 ms" in \
+            render_summary(summary)
+
+    def test_serve_batch_waited_must_be_a_non_negative_number(self):
+        batch = {"kind": "serve.batch", "batch": 1, "sessions": 1,
+                 "steps": 1, "wall": 0.001}
+        assert validate_event(dict(batch, waited=0.0)) == []
+        assert validate_event(dict(batch, waited=-0.1))
+        assert validate_event(dict(batch, waited="0.1"))
+        assert validate_event(dict(batch, waited=True))
 
 
 class TestTracerStepEvents:

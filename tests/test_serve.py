@@ -2,6 +2,7 @@
 
 import base64
 import threading
+import time
 
 import pytest
 
@@ -451,6 +452,7 @@ class TestConcurrentSessionsTraced:
         assert {"create", "step", "snapshot", "restore",
                 "close"} <= ops
         assert batches and all(e["sessions"] >= 1 for e in batches)
+        assert all(e["waited"] >= 0 for e in batches)
         assert sum(e["steps"] for e in batches) == 3 * 30
         invalid, problems = validate_events(serve_events)
         assert invalid == 0, problems
@@ -468,6 +470,8 @@ class TestConcurrentSessionsTraced:
             assert metrics["serve.sessions"]["value"] == 1
             assert stats["batches"] >= 1
             assert stats["steps_dispatched"] == 3
+            assert metrics["serve.batch.wait.seconds"]["count"] == \
+                stats["batches"]
         finally:
             handle.stop()
 
@@ -580,6 +584,132 @@ class TestConnectionFaults:
 
         recovered = {r.session_id for r in recover_sessions(journal_dir)}
         assert s_drop in recovered
+
+
+class TestTickWindow:
+    """A tick holds for stragglers only while one could still join;
+    ``batch_window`` caps the hold."""
+
+    @staticmethod
+    def _pipelined_round(clients, sessions, tag):
+        """Send one step per session before reading any response."""
+        for client, session in zip(clients, sessions):
+            client._file.write(encode_frame(
+                {"op": "step", "session": session, "id": tag}))
+            client._file.flush()
+        return [decode_frame(client._file.readline())
+                for client in clients]
+
+    def test_lone_session_does_not_wait_out_the_window(self):
+        handle = _server(batch_window=0.5)
+        try:
+            with handle.connect() as client:
+                session = client.create("continuous", scale=0.4, seed=3)
+                start = time.perf_counter()
+                for i in range(1, 6):
+                    assert client.step(session)["step"] == i
+                elapsed = time.perf_counter() - start
+        finally:
+            handle.stop()
+        assert elapsed < 0.5
+
+    def _pair_rounds(self, batch_window, idle_sessions=0):
+        handle = _server(batch_window=batch_window)
+        clients = [handle.connect(), handle.connect()]
+        try:
+            sessions = [client.create("continuous", scale=0.4, seed=5)
+                        for client in clients]
+            for _ in range(idle_sessions):
+                clients[0].create("continuous", scale=0.4, seed=6)
+            for rnd in range(1, 4):
+                before = clients[0].stats()
+                start = time.perf_counter()
+                responses = self._pipelined_round(clients, sessions,
+                                                  f"r{rnd}")
+                elapsed = time.perf_counter() - start
+                after = clients[0].stats()
+                assert [r["step"] for r in responses] == [rnd, rnd]
+                # one tick, coalesced into one K=2 fleet
+                assert after["batches"] - before["batches"] == 1
+                assert after["fleet_batches"] - \
+                    before["fleet_batches"] == 1
+                assert after["fleet_sessions"] - \
+                    before["fleet_sessions"] == 2
+                yield elapsed
+        finally:
+            for client in clients:
+                client.close()
+            handle.stop()
+
+    def test_pipelined_pair_dispatches_once_both_requests_land(self):
+        for elapsed in self._pair_rounds(batch_window=0.5):
+            assert elapsed < 0.5
+
+    def test_idle_session_keeps_the_window_open(self):
+        # The idle session could still send a step, so the tick waits
+        # out its whole window before dispatching the pair.
+        for elapsed in self._pair_rounds(batch_window=0.1,
+                                         idle_sessions=1):
+            assert elapsed >= 0.1
+
+
+class TestTickLoopSurvivesFailures:
+    def test_observer_failure_does_not_stop_the_tick_loop(self):
+        tracer, captured = _capture_tracer()
+        failed = []
+
+        def write(event):
+            if event["kind"] == "serve.batch" and not failed:
+                failed.append(event)
+                raise OSError("disk full")
+            captured.append(event)
+
+        tracer.sink.write = write
+        handle = start_in_thread(ServiceConfig(port=0, max_sessions=8),
+                                 observer=tracer)
+        try:
+            with handle.connect(timeout=10.0) as client:
+                session = client.create("continuous", scale=0.4, seed=1)
+                # answered before the post-barrier observer call raised
+                assert client.step(session)["step"] == 1
+                # the next tick still runs
+                assert client.step(session)["step"] == 2
+                metrics = client.stats()["metrics"]
+            assert failed
+            assert not handle.service.scheduler._task.done()
+            assert metrics["serve.internal_errors"]["value"] == 1
+            assert any("scheduler tick failed: OSError: disk full" in line
+                       for line in handle.service.incidents.lines())
+        finally:
+            handle.stop()
+
+    def test_failed_tick_answers_its_requests_instead_of_hanging(self):
+        handle = _server()
+        scheduler = handle.service.scheduler
+        plan = scheduler._plan_fleets
+        failed = []
+
+        def plan_once(batch):
+            if not failed:
+                failed.append(batch)
+                raise RuntimeError("planner bug")
+            return plan(batch)
+
+        scheduler._plan_fleets = plan_once
+        try:
+            with handle.connect(timeout=10.0) as client:
+                session = client.create("continuous", scale=0.4, seed=1)
+                with pytest.raises(ServeClientError) as err:
+                    client.step(session)
+                assert err.value.code == "internal"
+                assert "planner bug" in err.value.detail
+                # never dispatched: the world did not move, and the
+                # admission slot was given back
+                assert client.step(session)["step"] == 1
+            assert handle.service.admission.queue_depth == 0
+            assert len(handle.service.incidents) == 1
+        finally:
+            handle.stop()
 
 
 class TestFleetStepping:

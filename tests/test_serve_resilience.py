@@ -542,13 +542,29 @@ class TestRetryPolicy:
         from repro.serve import AdmissionController, AdmissionPolicy
         from repro.serve.protocol import ServiceError
 
+        def hint(session_id):
+            with pytest.raises(ServiceError) as err:
+                admission.admit(session_id)
+            assert err.value.code == "busy"
+            assert err.value.extra["retry_after_ms"] >= 1
+            return err.value.extra["retry_after_ms"]
+
+        # session_backlog: the session's own backlog x the tick time,
+        # which is the tick_period floor until a tick is measured
         admission = AdmissionController(AdmissionPolicy(
-            max_pending_per_session=1, tick_period=0.01))
+            max_pending_per_session=2, max_queue_depth=3,
+            tick_period=0.01))
         admission.admit("s1")
-        with pytest.raises(ServiceError) as err:
-            admission.admit("s1")
-        assert err.value.code == "busy"
-        assert err.value.extra["retry_after_ms"] >= 1
+        admission.admit("s1")
+        assert hint("s1") == 2 * 10
+        # measured ticks (an EWMA) take over once they exceed the floor
+        admission.observe_tick(0.05)
+        assert hint("s1") == 2 * 50
+        admission.observe_tick(0.001)   # 0.05 + 0.2 * (0.001 - 0.05)
+        assert hint("s1") == int(2 * 40.2)
+        # queue_full: the largest per-session backlog, not global depth
+        admission.admit("s2")
+        assert hint("s3") == int(2 * 40.2)
 
 
 class TestResilientClient:
